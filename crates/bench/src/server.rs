@@ -4,9 +4,9 @@
 //! client connections × pipeline depth, measuring delivered throughput and
 //! client-observed latency per point.  The **saturation point** — the sweep
 //! point with the highest throughput — is what the CI perf gate tracks: a
-//! collapse there means the network front end (framing, executor pool,
-//! response writer) regressed, independent of which exact point wins on a
-//! given runner.
+//! collapse there means the network front end (framing, single-hop
+//! dispatch to the partition workers, response writer) regressed,
+//! independent of which exact point wins on a given runner.
 //!
 //! Latency is measured closed-loop at the client: each connection keeps
 //! `depth` requests in flight and stamps every request id at send time, so
@@ -28,8 +28,6 @@ use rand_chacha::ChaCha8Rng;
 use crate::msgcost::json_number;
 use crate::Scale;
 
-/// Executor pool size for the benchmarked server.
-pub const SERVER_EXECUTORS: usize = 4;
 /// Engine partitions behind the benchmarked server.
 pub const SERVER_PARTITIONS: usize = 4;
 /// Absolute floor on saturation throughput: even with no (or a stale)
@@ -89,11 +87,8 @@ pub fn measure_sweep(
     let engine = Engine::start_shared(config, &tatp.schema());
     tatp.load(engine.db()).expect("load TATP");
     engine.finish_loading();
-    let mut server = Server::serve(
-        Arc::clone(&engine),
-        ServerConfig::default().with_executors(SERVER_EXECUTORS),
-    )
-    .expect("bind server");
+    let mut server =
+        Server::serve(Arc::clone(&engine), ServerConfig::default()).expect("bind server");
     let addr = server.addr();
 
     let points = sweep
@@ -226,8 +221,7 @@ pub fn server_sweep_json(r: &ServerResult) -> String {
         })
         .collect();
     format!(
-        "{{\"bench\":\"server_sweep\",\"executors\":{SERVER_EXECUTORS},\
-         \"partitions\":{SERVER_PARTITIONS},\"points\":[{}]}}\n",
+        "{{\"bench\":\"server_sweep\",\"partitions\":{SERVER_PARTITIONS},\"points\":[{}]}}\n",
         points.join(",")
     )
 }

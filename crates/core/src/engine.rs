@@ -23,7 +23,7 @@ use crate::dlb::{HistogramSet, LoadBalancerHandle};
 use crate::error::EngineError;
 use crate::partition::PartitionManager;
 use crate::reply::{BatchReplySlot, ReplySlot};
-use crate::request::{ErrorCode, Op, Request, Response};
+use crate::request::{validate, Request, Response};
 use crate::worker::{ActionReply, WorkerRequest};
 use crossbeam::channel::LaneSender;
 
@@ -411,6 +411,8 @@ impl Engine {
             }
             _ => None,
         };
+        // A panic on this thread dumps only this engine's flight recorder.
+        plp_instrument::tag_thread_engine(self.db.stats());
         static NEXT_SESSION: std::sync::atomic::AtomicU64 = std::sync::atomic::AtomicU64::new(0);
         let session_id = NEXT_SESSION.fetch_add(1, std::sync::atomic::Ordering::Relaxed);
         let ring = self
@@ -628,6 +630,67 @@ impl std::fmt::Debug for Engine {
     }
 }
 
+/// How one transaction ended, for [`account_txn`].
+pub(crate) struct TxnEnd {
+    pub txn_id: u64,
+    pub committed: bool,
+    /// Wall time from the transaction's start to its commit/abort.
+    pub elapsed: Duration,
+    /// The transaction's start and end on the trace clock (0 in `obs-stub`
+    /// builds).
+    pub trace_start: u64,
+    pub finished_at: u64,
+    /// Action outputs the transaction produced (slow-log context).
+    pub actions: u32,
+    /// Round-trip phases accumulated over the transaction's dispatches,
+    /// with `wal_nanos` set to the commit time.
+    pub phases: PhaseBreakdown,
+    /// Whether the transaction's actions went through worker dispatch (so
+    /// its messages are in `action_roundtrip` and its phases must be too).
+    pub dispatched: bool,
+}
+
+/// The per-transaction bookkeeping after commit or abort, shared by
+/// [`Session::execute`] and worker-owned transactions (see
+/// [`crate::worker::WorkerRequest::Owned`]) so the two paths cannot drift:
+/// the time breakdown's transaction count, the Commit/Abort instant and the
+/// Txn span on the finishing thread's `ring`, the round-trip phase
+/// histograms, and the slow-transaction log.
+pub(crate) fn account_txn(db: &Database, ring: &TraceRing, end: TxnEnd) {
+    db.breakdown().finish_txn(end.elapsed);
+    if !obs_enabled() {
+        return;
+    }
+    let now = end.finished_at;
+    let outcome = if end.committed {
+        TraceEvent::Commit
+    } else {
+        TraceEvent::Abort
+    };
+    ring.instant_at(outcome, end.txn_id, now);
+    let total = now.saturating_sub(end.trace_start);
+    ring.event(TraceEvent::Txn, end.txn_id, end.trace_start, total);
+    // One histogram store per phase per *transaction* (the reply loop only
+    // accumulates), so the sums still equal `action_roundtrip`'s sum exactly
+    // while the per-message hot path stays free of extra stores.  An aborted
+    // transaction's messages are in `action_roundtrip` too, so its phases
+    // must land as well for the sums to keep reconciling.
+    if end.dispatched {
+        end.phases.record_roundtrip_phases(db.stats().latency());
+    }
+    if end.committed {
+        // One relaxed atomic load for the fast majority; only candidates for
+        // the top-K reservoir take its lock.
+        db.stats().slow().offer(SlowTxn {
+            txn_id: end.txn_id,
+            started_at_nanos: end.trace_start,
+            total_nanos: total,
+            actions: end.actions,
+            phases: end.phases,
+        });
+    }
+}
+
 /// How many pooled reply slots a session keeps between stages.  Stages are
 /// small (a handful of actions), so this is comfortably above the steady
 /// state while bounding a pathological stage's footprint.
@@ -682,48 +745,13 @@ impl Session<'_> {
     /// partitioned designs), lowered onto a single-stage
     /// [`TransactionPlan`], and executed through [`Session::execute`]'s
     /// usual commit/abort machinery; errors come back as wire-stable
-    /// [`ErrorCode`]s instead of [`EngineError`]s.
+    /// [`ErrorCode`](crate::ErrorCode)s instead of [`EngineError`]s.
     pub fn run(&mut self, request: Request) -> Response {
-        if request.ops.is_empty() {
-            return Response::err(ErrorCode::BadRequest, "empty request");
-        }
-        if let Some(reject) = self.validate(&request) {
+        let partitioned = self.engine.design.is_partitioned();
+        if let Some(reject) = validate(&self.engine.db, partitioned, &request.ops) {
             return reject;
         }
         self.execute(request.lower()).into()
-    }
-
-    /// Checks lowering cannot perform: referenced tables must exist, and on
-    /// partitioned designs a range scan may not leave the granularity unit
-    /// that routes it (a wider range could touch pages owned by another
-    /// worker latch-free — see [`Op::ReadRange`]).
-    fn validate(&self, request: &Request) -> Option<Response> {
-        let partitioned = self.engine.design.is_partitioned();
-        for op in &request.ops {
-            let table = match self.engine.db.table(op.table()) {
-                Ok(t) => t,
-                Err(e) => return Some(Response::err((&e).into(), e.to_string())),
-            };
-            if let Op::ReadRange { lo, hi, .. } = *op {
-                if lo > hi {
-                    return Some(Response::err(
-                        ErrorCode::BadRequest,
-                        format!("range lo {lo} > hi {hi}"),
-                    ));
-                }
-                let granularity = table.spec().partition_granularity.max(1);
-                if partitioned && lo / granularity != hi / granularity {
-                    return Some(Response::err(
-                        ErrorCode::BadRequest,
-                        format!(
-                            "range [{lo}, {hi}] spans partition-granularity units \
-                             (granularity {granularity}) on a partitioned design"
-                        ),
-                    ));
-                }
-            }
-        }
-        None
     }
 
     /// Execute one transaction described by `plan`.  Returns the concatenated
@@ -744,63 +772,37 @@ impl Session<'_> {
         } else {
             self.execute_conventional(&db, &mut txn, plan)
         };
-        match result {
-            Ok(outputs) => {
-                let locks = match self.engine.design {
-                    Design::Conventional { .. } => Some(db.lock_manager().as_ref()),
-                    _ => None,
-                };
-                let commit_t0 = if obs_enabled() { now_nanos() } else { 0 };
-                db.txn_manager()
-                    .commit_with(&mut txn, locks, Some(db.breakdown()));
-                db.breakdown().finish_txn(start.elapsed());
-                if obs_enabled() {
-                    let now = now_nanos();
-                    phases.wal_nanos = now.saturating_sub(commit_t0);
-                    self.ring.instant_at(TraceEvent::Commit, txn_id, now);
-                    self.ring
-                        .event(TraceEvent::Txn, txn_id, trace_start, now - trace_start);
-                    // One histogram store per phase per *transaction* (the
-                    // reply loop only accumulates), so the sums still equal
-                    // `action_roundtrip`'s sum exactly while the per-message
-                    // hot path stays free of extra stores.
-                    if self.engine.design.is_partitioned() {
-                        phases.record_roundtrip_phases(db.stats().latency());
-                    }
-                    // One relaxed atomic load for the fast majority; only
-                    // candidates for the top-K reservoir take its lock.
-                    db.stats().slow().offer(SlowTxn {
-                        txn_id,
-                        started_at_nanos: trace_start,
-                        total_nanos: now - trace_start,
-                        actions: outputs.len() as u32,
-                        phases,
-                    });
-                }
-                Ok(outputs)
-            }
-            Err(e) => {
-                let locks = match self.engine.design {
-                    Design::Conventional { .. } => Some(db.lock_manager().as_ref()),
-                    _ => None,
-                };
-                db.txn_manager().abort_with(&mut txn, locks);
-                db.breakdown().finish_txn(start.elapsed());
-                if obs_enabled() {
-                    let now = now_nanos();
-                    self.ring.instant_at(TraceEvent::Abort, txn_id, now);
-                    self.ring
-                        .event(TraceEvent::Txn, txn_id, trace_start, now - trace_start);
-                    // An aborted transaction's dispatched messages are in
-                    // `action_roundtrip` too, so their phases must land in
-                    // the histograms for the sums to keep reconciling.
-                    if self.engine.design.is_partitioned() {
-                        phases.record_roundtrip_phases(db.stats().latency());
-                    }
-                }
-                Err(e)
-            }
+        let locks = match self.engine.design {
+            Design::Conventional { .. } => Some(db.lock_manager().as_ref()),
+            _ => None,
+        };
+        let committed = result.is_ok();
+        let commit_t0 = if obs_enabled() { now_nanos() } else { 0 };
+        if committed {
+            db.txn_manager()
+                .commit_with(&mut txn, locks, Some(db.breakdown()));
+        } else {
+            db.txn_manager().abort_with(&mut txn, locks);
         }
+        let finished_at = if obs_enabled() { now_nanos() } else { 0 };
+        if committed {
+            phases.wal_nanos = finished_at.saturating_sub(commit_t0);
+        }
+        account_txn(
+            &db,
+            &self.ring,
+            TxnEnd {
+                txn_id,
+                committed,
+                elapsed: start.elapsed(),
+                trace_start,
+                finished_at,
+                actions: result.as_ref().map_or(0, |o| o.len() as u32),
+                phases,
+                dispatched: self.engine.design.is_partitioned(),
+            },
+        );
+        result
     }
 
     fn execute_conventional(

@@ -46,3 +46,4 @@ pub use plp_instrument::{DlbDecision, DlbOutcome, PhaseBreakdown, SlowTxn};
 pub use reply::{ReplyPromise, ReplySlot};
 pub use request::{ErrorCode, Op, Request, Response};
 pub use table::Table;
+pub use worker::Completion;

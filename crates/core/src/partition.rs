@@ -21,7 +21,8 @@ use crate::catalog::{Design, TableId, TableSpec};
 use crate::database::Database;
 use crate::dlb::HistogramSet;
 use crate::error::EngineError;
-use crate::worker::WorkerHandle;
+use crate::request::{validate, Op};
+use crate::worker::{Completion, WorkerHandle};
 
 /// Routing table for one table: sorted partition start keys; partition `i`
 /// covers `[starts[i], starts[i+1])` and is served by worker `i`.
@@ -199,6 +200,31 @@ impl PartitionManager {
     /// while a repartition is in flight.
     pub fn dispatch_guard(&self) -> parking_lot::RwLockReadGuard<'_, ()> {
         self.dispatch_gate.read()
+    }
+
+    /// Single-hop execution of one wire op: validate it with the same checks
+    /// as [`Session::run`](crate::engine::Session::run), route it under the
+    /// dispatch guard and enqueue it on the owning worker, which runs the
+    /// whole transaction — begin, the op, commit or abort — and answers
+    /// through `done` (see [`WorkerRequest::Owned`]).  No coordinator thread
+    /// sits between the caller and the worker, and the caller never blocks:
+    /// a rejected op is answered before this returns, everything else from
+    /// the worker (or from the log flusher once the commit is durable).
+    ///
+    /// A single-op transaction has one stage, so it needs no transaction
+    /// ticket: the dispatch guard alone keeps a repartition from moving
+    /// ownership between routing the op and its execution.  `enqueued_at`
+    /// is the requester's [`now_nanos`](plp_instrument::trace::now_nanos)
+    /// reading that starts the transaction's round trip.
+    ///
+    /// [`WorkerRequest::Owned`]: crate::worker::WorkerRequest::Owned
+    pub fn submit(&self, op: Op, enqueued_at: u64, done: Completion) {
+        if let Some(reject) = validate(&self.db, true, std::slice::from_ref(&op)) {
+            return done(reject);
+        }
+        let _gate = self.dispatch_guard();
+        let worker = self.route(op.table(), op.routing_key());
+        self.workers[worker].send_owned(op, done, self.db.stats(), enqueued_at);
     }
 
     /// Attach the DLB access histograms; [`Self::route`] records into them

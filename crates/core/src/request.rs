@@ -18,6 +18,7 @@
 
 use crate::action::{Action, ActionOutput, TransactionPlan};
 use crate::catalog::TableId;
+use crate::database::Database;
 use crate::error::EngineError;
 
 /// One declarative data operation.  Each op targets a single table and routes
@@ -209,6 +210,45 @@ impl Request {
             Ok(out)
         }))
     }
+}
+
+/// The checks lowering cannot perform, shared by
+/// [`Session::run`](crate::engine::Session::run) and the single-hop wire
+/// path ([`PartitionManager::submit`](crate::PartitionManager::submit)) so
+/// both answer a bad request identically: the request must carry ops, the
+/// referenced tables must exist, and on partitioned designs a range scan may
+/// not leave the granularity unit that routes it (a wider range could touch
+/// pages owned by another worker latch-free — see [`Op::ReadRange`]).
+/// Returns the rejection, or `None` when the ops may run.
+pub(crate) fn validate(db: &Database, partitioned: bool, ops: &[Op]) -> Option<Response> {
+    if ops.is_empty() {
+        return Some(Response::err(ErrorCode::BadRequest, "empty request"));
+    }
+    for op in ops {
+        let table = match db.table(op.table()) {
+            Ok(t) => t,
+            Err(e) => return Some(Response::err((&e).into(), e.to_string())),
+        };
+        if let Op::ReadRange { lo, hi, .. } = *op {
+            if lo > hi {
+                return Some(Response::err(
+                    ErrorCode::BadRequest,
+                    format!("range lo {lo} > hi {hi}"),
+                ));
+            }
+            let granularity = table.spec().partition_granularity.max(1);
+            if partitioned && lo / granularity != hi / granularity {
+                return Some(Response::err(
+                    ErrorCode::BadRequest,
+                    format!(
+                        "range [{lo}, {hi}] spans partition-granularity units \
+                         (granularity {granularity}) on a partitioned design"
+                    ),
+                ));
+            }
+        }
+    }
+    None
 }
 
 /// Wire-stable numeric error codes.

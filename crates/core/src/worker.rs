@@ -40,6 +40,16 @@
 //! `model_lane_vs_control_ordering`), and actions enqueued *after* are kept
 //! out by the dispatch gate for the window repartitioning cares about.
 //!
+//! # Worker-owned transactions
+//!
+//! A [`WorkerRequest::Owned`] carries a whole single-op transaction (the
+//! shape of every wire request): the worker runs `TxnManager::begin`, the
+//! op, the log merge and the commit or abort itself and answers through a
+//! [`Completion`] — no coordinator waits on a reply.  It never waits for the
+//! log flush: the commit's answer is handed to
+//! [`plp_wal::LogManager::release_when_durable`].  Owned requests ride the
+//! MPMC queue (their sender, a connection reader, holds no lane).
+//!
 //! Workers also handle system requests: page-cleaning batches for pages they
 //! own (Appendix A.4) and quiesce/resume handshakes used by repartitioning.
 //! When the engine was built with [`crate::catalog::EngineConfig::with_pinning`],
@@ -48,21 +58,24 @@
 
 use std::sync::Arc;
 use std::thread::JoinHandle;
+use std::time::Instant;
 
 use crossbeam::channel::{bounded, unbounded, LaneSender, Receiver, Sender, TryRecvError};
 use parking_lot::Mutex;
 use plp_instrument::trace::now_nanos;
-use plp_instrument::{obs_enabled, CsCategory, PhaseBreakdown, TraceEvent};
+use plp_instrument::{obs_enabled, CsCategory, PhaseBreakdown, TraceEvent, TraceRing};
 use plp_lock::LocalLockTable;
 use plp_storage::{OwnerToken, PageCleaner, PageId};
 use plp_wal::LogRecord;
 
-use crate::action::{ActionFn, ActionOutput};
+use crate::action::{ActionFn, ActionOutput, DataContext};
 use crate::catalog::Design;
 use crate::ctx::PartitionCtx;
 use crate::database::Database;
+use crate::engine::{account_txn, TxnEnd};
 use crate::error::EngineError;
 use crate::reply::{BatchReplyPromise, BatchReplySlot, ReplyPromise, ReplySlot};
+use crate::request::{ErrorCode, Op, Response};
 
 /// Slots in each session's per-worker SPSC fast lane.  Deep enough that a
 /// pipelined session never overflows it in practice; overflow just means the
@@ -82,6 +95,11 @@ pub struct ActionReply {
     pub phases: PhaseBreakdown,
 }
 
+/// How a worker-owned transaction answers its requester (see
+/// [`WorkerRequest::Owned`]).  Called exactly once, on the worker — or on
+/// the log flusher when the answer waits for durability.
+pub type Completion = Box<dyn FnOnce(Response) + Send>;
+
 /// Requests a worker can serve.
 pub enum WorkerRequest {
     /// Execute a transaction action on behalf of `txn_id`.
@@ -100,6 +118,16 @@ pub enum WorkerRequest {
         txn_id: u64,
         actions: Vec<ActionFn>,
         reply: BatchReplyPromise<ActionReply>,
+        enqueued_at: u64,
+    },
+    /// Run a whole single-op transaction on this worker — begin, the op,
+    /// commit or abort — and answer through `done`, with no coordinator in
+    /// between (the single-hop path, [`crate::PartitionManager::submit`]).
+    Owned {
+        op: Op,
+        done: Completion,
+        /// Requester's [`now_nanos`] read just before the enqueue: the
+        /// origin of the transaction's round trip and queue wait.
         enqueued_at: u64,
     },
     /// Clean the given (owned) pages — the PLP page-cleaning path.
@@ -211,6 +239,28 @@ impl WorkerHandle {
         )
     }
 
+    /// Hand a whole single-op transaction to this worker over the MPMC
+    /// queue (see [`WorkerRequest::Owned`]).  The caller holds the dispatch
+    /// guard and has routed `op` here.
+    pub fn send_owned(
+        &self,
+        op: Op,
+        done: Completion,
+        stats: &plp_instrument::StatsRegistry,
+        enqueued_at: u64,
+    ) {
+        stats.cs().enter(CsCategory::MessagePassing, false);
+        stats.msg().dispatch_sent(false);
+        self.dispatch(
+            WorkerRequest::Owned {
+                op,
+                done,
+                enqueued_at,
+            },
+            None,
+        );
+    }
+
     fn dispatch(&self, req: WorkerRequest, lane: Option<&LaneSender<WorkerRequest>>) -> bool {
         match lane {
             Some(lane) => lane.send(req).expect("worker alive"),
@@ -266,8 +316,206 @@ pub(crate) fn join_unless_self(handle: JoinHandle<()>) {
     }
 }
 
+/// The worker's per-thread state, borrowed by every request it executes.
+struct Worker<'w> {
+    db: &'w Database,
+    design: Design,
+    token: OwnerToken,
+    local_locks: LocalLockTable,
+    ring: &'w TraceRing,
+}
+
+impl Worker<'_> {
+    /// Run one action body in a fresh [`PartitionCtx`] for `txn_id`, traced
+    /// as an execute span opened at `started`.  Returns the result, the
+    /// action's redo records and the span's end (0 in `obs-stub` builds).
+    /// The body shared by every data-plane request kind.
+    fn run_action(
+        &mut self,
+        txn_id: u64,
+        started: u64,
+        body: impl FnOnce(&mut dyn DataContext) -> Result<ActionOutput, EngineError>,
+    ) -> (Result<ActionOutput, EngineError>, Vec<LogRecord>, u64) {
+        let mut ctx = PartitionCtx::new(
+            self.db,
+            self.design,
+            self.token,
+            &mut self.local_locks,
+            txn_id,
+        );
+        // The span guard records on drop — including the unwind of a
+        // panicking action, so the autopsy dump shows what was running.
+        let span = self
+            .ring
+            .span_at(TraceEvent::ExecuteAction, txn_id, started);
+        let result = body(&mut ctx);
+        let finished = span.complete();
+        (result, ctx.take_log(), finished)
+    }
+
+    /// A single-op transaction from begin to commit on this thread (see
+    /// [`WorkerRequest::Owned`]).  Its one round trip runs from the
+    /// requester's enqueue to the op's end: queue wait plus execution
+    /// (begin included), with no reply leg.  The answer waits for
+    /// durability without this thread waiting: the log manager releases it
+    /// inline (Lazy) or from the flusher.
+    fn run_owned(&mut self, op: Op, done: Completion, enqueued_at: u64) {
+        let db = self.db;
+        let started = now_nanos();
+        let begun = Instant::now();
+        let mut txn = db.txn_manager().begin();
+        let txn_id = txn.id();
+        let (result, log, finished) = self.run_action(txn_id, started, |ctx| op.apply(ctx));
+        let finished = if obs_enabled() { finished } else { now_nanos() };
+        // Merge the action's log records into the transaction so the commit
+        // record covers them (one consolidated insert).
+        for record in log {
+            db.log_manager().log_record(txn.log_handle_mut(), record);
+        }
+        txn.set_action_count(1);
+        let rt = finished.saturating_sub(enqueued_at);
+        db.stats().msg().roundtrip(rt);
+        db.stats().latency().action_roundtrip.record(rt);
+        let mut phases = PhaseBreakdown {
+            queue_nanos: started.saturating_sub(enqueued_at),
+            exec_nanos: finished.saturating_sub(started),
+            ..PhaseBreakdown::default()
+        };
+        let outcome = match result {
+            Ok(output) => Ok((output, db.txn_manager().commit_deferred(&mut txn))),
+            Err(e) => {
+                db.txn_manager().abort(&mut txn);
+                Err(e)
+            }
+        };
+        let finished_at = if obs_enabled() { now_nanos() } else { 0 };
+        let committed = outcome.is_ok();
+        if committed {
+            phases.wal_nanos = finished_at.saturating_sub(finished);
+        }
+        account_txn(
+            db,
+            self.ring,
+            TxnEnd {
+                txn_id,
+                committed,
+                elapsed: begun.elapsed(),
+                trace_start: enqueued_at,
+                finished_at,
+                actions: 1,
+                phases,
+                dispatched: true,
+            },
+        );
+        match outcome {
+            Ok((output, lsn)) => db.log_manager().release_when_durable(lsn, move |r| {
+                done(match r {
+                    Ok(()) => Response::Ok(vec![output]),
+                    Err(reason) => Response::err(ErrorCode::Storage, reason),
+                })
+            }),
+            Err(e) => done(Err(e).into()),
+        }
+    }
+
+    /// Execute one data-plane request (actions, batches, owned transactions,
+    /// cleaning).  Control messages never reach this — they are matched in
+    /// the worker loop.
+    fn execute(&mut self, req: WorkerRequest, cleaner: &PageCleaner) {
+        match req {
+            WorkerRequest::Action {
+                txn_id,
+                run,
+                reply,
+                enqueued_at,
+            } => {
+                let started = if obs_enabled() { now_nanos() } else { 0 };
+                let (result, log, finished) = self.run_action(txn_id, started, run);
+                let phases = PhaseBreakdown {
+                    queue_nanos: started.saturating_sub(enqueued_at),
+                    exec_nanos: finished.saturating_sub(started),
+                    ..PhaseBreakdown::default()
+                };
+                // The reply is the worker's half of the message-passing pair.
+                self.db
+                    .stats()
+                    .cs()
+                    .enter(CsCategory::MessagePassing, false);
+                reply.fulfill(ActionReply {
+                    result,
+                    log,
+                    phases,
+                });
+            }
+            WorkerRequest::Batch {
+                txn_id,
+                actions,
+                mut reply,
+                enqueued_at,
+            } => {
+                // Strictly in dispatch order, and every action runs even
+                // after an earlier one failed — identical outcomes to the
+                // equivalent sequence of Action messages (the coordinator
+                // aggregates the per-action results).
+                //
+                // Trace timestamps are chained — each action's end is the
+                // next one's start — so the batch pays one clock read per
+                // action (plus one to open) instead of two.  Each action runs
+                // under its own span guard, so a panicking action's span is
+                // recorded during unwind (matching the singleton arm) and the
+                // autopsy dump shows which batch member was running.
+                let n = actions.len() as u64;
+                let batch_t0 = if obs_enabled() { now_nanos() } else { 0 };
+                let queue_nanos = batch_t0.saturating_sub(enqueued_at);
+                let mut prev = batch_t0;
+                let mut first = true;
+                for run in actions {
+                    let (result, log, t) = self.run_action(txn_id, prev, run);
+                    let phases = PhaseBreakdown {
+                        // The whole batch waited in the queue once;
+                        // attributing it to the first reply keeps the
+                        // coordinator's per-message sum exact.
+                        queue_nanos: if first { queue_nanos } else { 0 },
+                        exec_nanos: t.saturating_sub(prev),
+                        ..PhaseBreakdown::default()
+                    };
+                    first = false;
+                    prev = t;
+                    reply.push(ActionReply {
+                        result,
+                        log,
+                        phases,
+                    });
+                }
+                if obs_enabled() {
+                    self.ring
+                        .event(TraceEvent::ExecuteBatch, n, batch_t0, prev - batch_t0);
+                }
+                // One message-passing critical section and one wake per batch.
+                self.db
+                    .stats()
+                    .cs()
+                    .enter(CsCategory::MessagePassing, false);
+                reply.finish();
+            }
+            WorkerRequest::Owned {
+                op,
+                done,
+                enqueued_at,
+            } => self.run_owned(op, done, enqueued_at),
+            WorkerRequest::Clean { pages } => {
+                cleaner.clean_owned(self.token, &pages);
+            }
+            WorkerRequest::Quiesce { .. } | WorkerRequest::Shutdown => {
+                unreachable!("control messages are handled in the worker loop")
+            }
+        }
+    }
+}
+
 fn worker_loop(db: Arc<Database>, design: Design, token: OwnerToken, rx: Receiver<WorkerRequest>) {
-    let mut local_locks = LocalLockTable::new();
+    plp_instrument::tag_thread_engine(db.stats());
+    plp_wal::forbid_durable_wait();
     let cleaner = PageCleaner::new(db.pool().clone());
     // One chrome://tracing row per worker.  The ring lives in the shared
     // stats registry, so a flight-recorder dump still sees this worker's
@@ -276,94 +524,14 @@ fn worker_loop(db: Arc<Database>, design: Design, token: OwnerToken, rx: Receive
         .stats()
         .trace()
         .register(format!("worker-{}", token.0 - 1));
-    // Executes one data-plane request (actions, batches, cleaning).  Control
-    // messages never reach this — they are matched in the loop below.
-    let mut execute = |req: WorkerRequest| match req {
-        WorkerRequest::Action {
-            txn_id,
-            run,
-            reply,
-            enqueued_at,
-        } => {
-            let mut ctx = PartitionCtx::new(&db, design, token, &mut local_locks, txn_id);
-            // The span guard records on drop — including the unwind of a
-            // panicking action, so the autopsy dump shows what was running.
-            let started = if obs_enabled() { now_nanos() } else { 0 };
-            let span = ring.span_at(TraceEvent::ExecuteAction, txn_id, started);
-            let result = run(&mut ctx);
-            let finished = span.complete();
-            let phases = PhaseBreakdown {
-                queue_nanos: started.saturating_sub(enqueued_at),
-                exec_nanos: finished.saturating_sub(started),
-                ..PhaseBreakdown::default()
-            };
-            let log = ctx.take_log();
-            // The reply is the worker's half of the message-passing pair.
-            db.stats().cs().enter(CsCategory::MessagePassing, false);
-            reply.fulfill(ActionReply {
-                result,
-                log,
-                phases,
-            });
-        }
-        WorkerRequest::Batch {
-            txn_id,
-            actions,
-            mut reply,
-            enqueued_at,
-        } => {
-            // Strictly in dispatch order, and every action runs even after
-            // an earlier one failed — identical outcomes to the equivalent
-            // sequence of Action messages (the coordinator aggregates the
-            // per-action results).
-            //
-            // Trace timestamps are chained — each action's end is the next
-            // one's start — so the batch pays one clock read per action
-            // (plus one to open) instead of two.  Each action runs under its
-            // own span guard, so a panicking action's span is recorded
-            // during unwind (matching the singleton arm) and the autopsy
-            // dump shows which batch member was running.
-            let n = actions.len() as u64;
-            let batch_t0 = if obs_enabled() { now_nanos() } else { 0 };
-            let queue_nanos = batch_t0.saturating_sub(enqueued_at);
-            let mut prev = batch_t0;
-            let mut first = true;
-            for run in actions {
-                let mut ctx = PartitionCtx::new(&db, design, token, &mut local_locks, txn_id);
-                let span = ring.span_at(TraceEvent::ExecuteAction, txn_id, prev);
-                let result = run(&mut ctx);
-                let t = span.complete();
-                let phases = PhaseBreakdown {
-                    // The whole batch waited in the queue once; attributing
-                    // it to the first reply keeps the coordinator's
-                    // per-message sum exact.
-                    queue_nanos: if first { queue_nanos } else { 0 },
-                    exec_nanos: t.saturating_sub(prev),
-                    ..PhaseBreakdown::default()
-                };
-                first = false;
-                prev = t;
-                let log = ctx.take_log();
-                reply.push(ActionReply {
-                    result,
-                    log,
-                    phases,
-                });
-            }
-            if obs_enabled() {
-                ring.event(TraceEvent::ExecuteBatch, n, batch_t0, prev - batch_t0);
-            }
-            // One message-passing critical section and one wake per batch.
-            db.stats().cs().enter(CsCategory::MessagePassing, false);
-            reply.finish();
-        }
-        WorkerRequest::Clean { pages } => {
-            cleaner.clean_owned(token, &pages);
-        }
-        WorkerRequest::Quiesce { .. } | WorkerRequest::Shutdown => {
-            unreachable!("control messages are handled in the worker loop")
-        }
+    let mut worker = Worker {
+        db: &db,
+        design,
+        token,
+        local_locks: LocalLockTable::new(),
+        ring: &ring,
     };
+    let mut execute = |req: WorkerRequest| worker.execute(req, &cleaner);
     loop {
         // Fast path: drain the session lanes before touching the MPMC queue.
         while let Some(req) = rx.try_recv_lane() {

@@ -64,7 +64,8 @@ pub use export::{
 pub use histogram::{Histogram, HistogramSnapshot, LatencySnapshot, LatencyStats};
 pub use model::{model_check_snapshot, ModelCheckSnapshot};
 pub use recorder::{
-    dump_all_targets, register_flight_dump, unregister_flight_dump, FlightRecorder, Sample,
+    dump_all_targets, register_flight_dump, tag_thread_engine, unregister_flight_dump,
+    FlightRecorder, Sample,
 };
 pub use report::{format_table, json_is_valid, json_string_literal, Cell, Table};
 pub use server::ObsServer;

@@ -16,6 +16,7 @@
 //! worker leaves its last seconds on disk. Engine shutdown writes the same
 //! dump with reason `"shutdown"`.
 
+use std::cell::Cell;
 use std::collections::VecDeque;
 use std::path::{Path, PathBuf};
 use std::sync::atomic::{AtomicU64, Ordering};
@@ -274,11 +275,27 @@ impl FlightRecorder {
     /// Write [`dump_json`](Self::dump_json) to `path`, ignoring IO errors
     /// (the dump path runs inside panic hooks and shutdown, where failing
     /// loudly helps no one).
+    ///
+    /// The document is written to a sibling temp file and renamed into
+    /// place, so a reader never sees a half-written dump and two dumps racing
+    /// for one path leave one whole document.
     pub fn dump_to(&self, path: &Path, stats: &StatsRegistry, reason: &str) {
+        static NEXT_TMP: AtomicU64 = AtomicU64::new(0);
         if let Some(parent) = path.parent() {
             let _ = std::fs::create_dir_all(parent);
         }
-        let _ = std::fs::write(path, self.dump_json(stats, reason));
+        let mut tmp = path.as_os_str().to_owned();
+        tmp.push(format!(
+            ".{}.{}.tmp",
+            std::process::id(),
+            NEXT_TMP.fetch_add(1, Ordering::Relaxed)
+        ));
+        let tmp = PathBuf::from(tmp);
+        if std::fs::write(&tmp, self.dump_json(stats, reason)).is_ok()
+            && std::fs::rename(&tmp, path).is_err()
+        {
+            let _ = std::fs::remove_file(&tmp);
+        }
     }
 }
 
@@ -293,20 +310,54 @@ fn targets() -> &'static Mutex<Vec<DumpTarget>> {
     TARGETS.get_or_init(|| Mutex::new(Vec::new()))
 }
 
-/// Dump every live registered target to its path. Called by the panic hook
-/// and usable directly (e.g. from tests or a signal handler).
+thread_local! {
+    /// The engine the current thread belongs to, as the address of that
+    /// engine's stats registry; 0 for threads no engine owns.
+    static THREAD_ENGINE: Cell<usize> = const { Cell::new(0) };
+}
+
+/// Mark the calling thread as owned by the engine whose stats registry is
+/// `stats` (workers, the log flusher, session threads).  A panic on a tagged
+/// thread dumps only that engine's flight recorder, so one engine's fault
+/// never overwrites another live engine's autopsy in the same process.
+pub fn tag_thread_engine(stats: &Arc<StatsRegistry>) {
+    THREAD_ENGINE.with(|t| t.set(Arc::as_ptr(stats) as usize));
+}
+
+/// Dump registered targets to their paths. Called by the panic hook and
+/// usable directly (e.g. from tests or a signal handler).  On a thread
+/// tagged by [`tag_thread_engine`] only that engine's target is dumped;
+/// untagged threads dump every live target.
 pub fn dump_all_targets(reason: &str) {
-    // `try_lock` so a panic *inside* the registry lock can never deadlock the
-    // hook; worst case we skip the autopsy.
-    let Some(targets) = targets().try_lock() else {
-        return;
-    };
-    for t in targets.iter() {
-        if let (Some(recorder), Some(stats)) = (t.recorder.upgrade(), t.stats.upgrade()) {
-            recorder.dump_to(&t.path, &stats, reason);
+    let owner = THREAD_ENGINE.try_with(Cell::get).unwrap_or(0);
+    // The registry lock only guards the target list: the dumps are written
+    // after it is released, so concurrent panics on two engines' threads
+    // never hold each other up.  `try_lock` (retried briefly) so a panic
+    // while this thread itself holds the lock can never deadlock the hook;
+    // worst case we skip the autopsy.
+    let mut live = Vec::new();
+    for _ in 0..DUMP_LOCK_TRIES {
+        if let Some(targets) = targets().try_lock() {
+            for t in targets.iter() {
+                if owner != 0 && t.stats.as_ptr() as usize != owner {
+                    continue;
+                }
+                if let (Some(recorder), Some(stats)) = (t.recorder.upgrade(), t.stats.upgrade()) {
+                    live.push((t.path.clone(), recorder, stats));
+                }
+            }
+            break;
         }
+        std::thread::sleep(std::time::Duration::from_millis(1));
+    }
+    for (path, recorder, stats) in live {
+        recorder.dump_to(&path, &stats, reason);
     }
 }
+
+/// How many times (1 ms apart) the panic hook tries the target registry's
+/// lock before giving up on the autopsy.
+const DUMP_LOCK_TRIES: usize = 100;
 
 /// Register `recorder` to be dumped to `path` when any thread panics (and
 /// install the process-wide panic hook on first use). The registry holds weak
@@ -445,6 +496,44 @@ mod tests {
         assert!(json_is_valid(&dump));
         assert!(dump.contains("\"reason\":\"unit\""));
         unregister_flight_dump(&recorder);
+        let _ = std::fs::remove_dir_all(&dir);
+    }
+
+    #[test]
+    fn tagged_thread_dumps_only_its_engine() {
+        let dir = std::env::temp_dir().join(format!("plp-recorder-tag-{}", std::process::id()));
+        let _ = std::fs::remove_dir_all(&dir);
+        let (stats_a, stats_b) = (StatsRegistry::new_shared(), StatsRegistry::new_shared());
+        let (rec_a, rec_b) = (
+            Arc::new(FlightRecorder::new(8)),
+            Arc::new(FlightRecorder::new(8)),
+        );
+        let (path_a, path_b) = (dir.join("a.json"), dir.join("b.json"));
+        register_flight_dump(path_a.clone(), &rec_a, &stats_a);
+        register_flight_dump(path_b.clone(), &rec_b, &stats_b);
+        // A thread owned by engine A dumps A's target and leaves B's alone.
+        let tagged = stats_a.clone();
+        std::thread::spawn(move || {
+            tag_thread_engine(&tagged);
+            dump_all_targets("tagged");
+        })
+        .join()
+        .unwrap();
+        let dump = std::fs::read_to_string(&path_a).expect("engine A dumped");
+        assert!(dump.contains("\"reason\":\"tagged\""));
+        assert!(
+            !path_b.exists(),
+            "engine B's dump was written by A's thread"
+        );
+        // No temp file is left next to the dump.
+        let leftovers: Vec<_> = std::fs::read_dir(&dir)
+            .unwrap()
+            .map(|e| e.unwrap().file_name())
+            .filter(|n| n.to_string_lossy().ends_with(".tmp"))
+            .collect();
+        assert!(leftovers.is_empty(), "{leftovers:?}");
+        unregister_flight_dump(&rec_a);
+        unregister_flight_dump(&rec_b);
         let _ = std::fs::remove_dir_all(&dir);
     }
 }

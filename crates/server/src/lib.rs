@@ -8,11 +8,13 @@
 //!   [`Response`](plp_core::Response) per reply, matched by request id so a
 //!   connection can pipeline many requests and receive replies out of order.
 //! * [`server`] — the connection server: an accept thread feeding
-//!   per-connection reader threads, a fixed executor pool running
-//!   [`Session::run`](plp_core::engine::Session), and a single shared writer
-//!   thread.  No thread-per-request: a connection's in-flight requests
-//!   interleave with every other connection's in the executor pool, exactly
-//!   like the in-process batched dispatch path they lower onto.
+//!   per-connection reader threads and a single shared writer thread.  On
+//!   a partitioned engine each reader hands every request straight to the
+//!   partition worker that owns it, which runs the whole transaction and
+//!   answers the writer; on a conventional engine a fixed executor pool
+//!   runs requests through [`Session::run`](plp_core::engine::Session).
+//!   No thread-per-request: a connection's in-flight requests interleave
+//!   with every other connection's on the workers (or executors).
 //!
 //! The byte-level layout, opcode/error-code tables and connection lifecycle
 //! are documented in `docs/server.md`; the `error_codes_are_pinned` and

@@ -1,43 +1,53 @@
 //! The TCP connection server.
 //!
-//! Thread topology (no thread-per-request):
+//! Thread topology (no thread-per-request).  On a partitioned engine every
+//! request is single-hop — the reader hands it straight to the partition
+//! worker that owns its key, and that worker runs the whole transaction and
+//! answers the writer:
 //!
 //! ```text
 //! accept thread ──► reader thread (per connection)
-//!                        │  decoded frames
+//!                        │  decode, validate, route (dispatch guard)
 //!                        ▼
-//!                  shared work queue ──► executor pool (fixed size)
-//!                                             │ one Session each
-//!                                             ▼
-//!                                        response queue ──► writer thread
+//!                  owning partition worker: begin → op → commit
+//!                        │  encoded response (from the log flusher
+//!                        │  instead when the commit waits for durability)
+//!                        ▼
+//!                  response queue ──► writer thread
 //! ```
 //!
-//! Each reader decodes frames off its socket and pipelines them into the
-//! shared work queue, so a connection can have many requests in flight; the
-//! executor pool runs them through [`Session::run`] in whatever order the
-//! queue yields, and the single writer thread sends replies back — possibly
-//! out of request order, which is why every response echoes its request id.
+//! On a conventional engine (no partition workers) the reader feeds a
+//! shared work queue instead, and a fixed executor pool runs each request
+//! through [`Session::run`](plp_core::engine::Session::run):
+//!
+//! ```text
+//! reader ──► shared work queue ──► executor pool ──► response queue ──► writer
+//! ```
+//!
+//! Readers answer `Hello` and frames that do not decode into an op
+//! themselves.  A connection can have many requests in flight, and they
+//! finish in whatever order the engine completes them, which is why every
+//! response echoes its request id.
 //!
 //! Shutdown drain: [`Server::stop`] first stops the accept loop, then
-//! shuts down every live socket (unblocking the readers, which close out
-//! their connections), then lets the executors drain the queued requests
-//! before stopping them, and finally stops the writer once its queue is
-//! flushed.  Queued requests still *execute* — their engine effects land —
-//! but with the sockets gone their responses are dropped, so clients should
-//! collect all outstanding responses before the server is stopped.  The same
-//! applies to a client that half-closes its connection: responses are only
-//! deliverable while the connection is fully open.
+//! shuts down the read side of every live socket (unblocking the readers,
+//! which stop taking requests), lets the executors drain their queue, waits
+//! until every request already decoded has been answered — wherever it runs
+//! — and finally stops the writer once its queue is flushed.  Every decoded
+//! request is executed *and* answered; a connection closes only after its
+//! last response is queued.  TCP half-close by a client is not supported: a
+//! client that shuts down its write side is treated as gone.
 
 use std::collections::HashMap;
 use std::io::{self, BufReader, Write};
 use std::net::{Shutdown, SocketAddr, TcpListener, TcpStream};
 use std::sync::atomic::{AtomicBool, Ordering};
-use std::sync::{Arc, Mutex};
+use std::sync::{Arc, Condvar, Mutex, MutexGuard, PoisonError};
 use std::thread::JoinHandle;
 use std::time::Duration;
 
 use crossbeam::channel::{unbounded, Receiver, Sender};
-use plp_core::{Engine, ErrorCode, Request, Response};
+use plp_core::{Engine, ErrorCode, Op, Request, Response};
 use plp_instrument::trace::now_nanos;
 use plp_instrument::{obs_enabled, StatsRegistry};
 
@@ -54,9 +64,10 @@ const WRITE_TIMEOUT: Duration = Duration::from_secs(5);
 pub struct ServerConfig {
     /// Listen address; port 0 binds an ephemeral port (see [`Server::addr`]).
     pub addr: String,
-    /// Executor-pool size: how many requests run concurrently.  This is the
-    /// server-side analogue of in-process client threads, not a per-client
-    /// limit — readers pipeline into the shared queue regardless.
+    /// Executor-pool size on a conventional engine: how many requests run
+    /// concurrently (the server-side analogue of in-process client
+    /// threads).  A partitioned engine runs requests on its partition
+    /// workers and starts no executors.
     pub executors: usize,
 }
 
@@ -81,12 +92,13 @@ impl ServerConfig {
     }
 }
 
-/// One unit of executor work: a decoded request frame plus the connection to
-/// answer on and the decode timestamp (for the `server_request` histogram).
+/// One unit of executor work: a decoded request, the connection to answer
+/// on, its request id and the decode timestamp.
 enum Work {
     Request {
-        conn: u64,
-        frame: Frame,
+        conn: Arc<ConnHandle>,
+        request_id: u64,
+        op: Op,
         decoded_at: u64,
     },
     Stop,
@@ -100,6 +112,99 @@ enum WriterMsg {
     Stop,
 }
 
+/// Connection handles still alive, so [`Server::stop`] can wait until every
+/// decoded request has been answered.
+#[derive(Default)]
+struct Live {
+    count: Mutex<usize>,
+    drained: Condvar,
+}
+
+impl Live {
+    /// The count is a plain integer, valid after every update, so a
+    /// poisoned lock is safe to recover.
+    fn count(&self) -> MutexGuard<'_, usize> {
+        self.count.lock().unwrap_or_else(PoisonError::into_inner)
+    }
+
+    fn wait_for_zero(&self) {
+        let mut count = self.count();
+        while *count > 0 {
+            count = self
+                .drained
+                .wait(count)
+                .unwrap_or_else(PoisonError::into_inner);
+        }
+    }
+}
+
+/// One connection's route back to its client, shared by the reader and
+/// every request of the connection still in flight.  Dropping the last
+/// clone — after the connection's last response was queued — closes the
+/// connection at the writer, so no response is ever queued behind its
+/// connection's close.
+struct ConnHandle {
+    conn: u64,
+    write_tx: Sender<WriterMsg>,
+    stats: Arc<StatsRegistry>,
+    live: Arc<Live>,
+}
+
+impl ConnHandle {
+    fn new(
+        conn: u64,
+        write_tx: Sender<WriterMsg>,
+        stats: Arc<StatsRegistry>,
+        live: Arc<Live>,
+    ) -> Self {
+        *live.count() += 1;
+        ConnHandle {
+            conn,
+            write_tx,
+            stats,
+            live,
+        }
+    }
+
+    /// Queue `frame` for the writer without touching the request histogram
+    /// (frames that never decoded into a request).
+    fn send(&self, frame: &Frame) {
+        let _ = self
+            .write_tx
+            .send(WriterMsg::Frame(self.conn, frame.encode()));
+    }
+
+    /// Answer a decoded request: encode its response, record the
+    /// `server_request` histogram (decode → response queued) and queue it.
+    /// The one answering path of every request, whichever thread ran it.
+    fn answer(&self, frame: &Frame, decoded_at: u64) {
+        let bytes = frame.encode();
+        if obs_enabled() {
+            self.stats
+                .latency()
+                .server_request
+                .record(now_nanos().saturating_sub(decoded_at));
+        }
+        let _ = self.write_tx.send(WriterMsg::Frame(self.conn, bytes));
+    }
+
+    fn respond(&self, request_id: u64, decoded_at: u64, response: &Response) {
+        let frame = match response {
+            Response::Ok(outputs) => Frame::response_ok(request_id, outputs),
+            Response::Err { code, message } => Frame::response_err(request_id, *code, message),
+        };
+        self.answer(&frame, decoded_at);
+    }
+}
+
+impl Drop for ConnHandle {
+    fn drop(&mut self) {
+        let _ = self.write_tx.send(WriterMsg::Close(self.conn));
+        *self.live.count() -= 1;
+        self.live.drained.notify_all();
+    }
+}
+
 /// A running connection server.  Dropping it (or calling [`Server::stop`])
 /// drains and joins every thread.
 pub struct Server {
@@ -107,6 +212,7 @@ pub struct Server {
     stop: Arc<AtomicBool>,
     conns: Arc<Mutex<HashMap<u64, TcpStream>>>,
     readers: Arc<Mutex<Vec<JoinHandle<()>>>>,
+    live: Arc<Live>,
     accept_thread: Option<JoinHandle<()>>,
     executor_threads: Vec<JoinHandle<()>>,
     writer_thread: Option<JoinHandle<()>>,
@@ -118,9 +224,10 @@ impl Server {
     /// Bind the listen socket and start serving `engine`.
     ///
     /// The engine arrives as an [`Arc`] (see
-    /// [`Engine::start_shared`](plp_core::Engine::start_shared)) because each
-    /// executor thread clones it and opens its own [`Session`]; the caller
-    /// keeps its clone for direct in-process access alongside the server.
+    /// [`Engine::start_shared`](plp_core::Engine::start_shared)) because
+    /// every reader (and, on a conventional engine, every executor thread)
+    /// holds a clone; the caller keeps its clone for direct in-process
+    /// access alongside the server.
     pub fn serve(engine: Arc<Engine>, config: ServerConfig) -> io::Result<Server> {
         let listener = TcpListener::bind(&config.addr)?;
         listener.set_nonblocking(true)?;
@@ -129,6 +236,7 @@ impl Server {
         let stop = Arc::new(AtomicBool::new(false));
         let conns: Arc<Mutex<HashMap<u64, TcpStream>>> = Arc::default();
         let readers: Arc<Mutex<Vec<JoinHandle<()>>>> = Arc::default();
+        let live: Arc<Live> = Arc::default();
         let (work_tx, work_rx) = unbounded::<Work>();
         let (write_tx, write_rx) = unbounded::<WriterMsg>();
 
@@ -138,29 +246,36 @@ impl Server {
                 .name("plp-srv-writer".to_string())
                 .spawn(move || writer_loop(write_rx, stats))?
         };
-        let executor_threads = (0..config.executors.max(1))
+        // The executor pool is the coordinator path of the conventional
+        // designs only; partitioned engines run requests on their workers.
+        let executors = if engine.partition_manager().is_some() {
+            0
+        } else {
+            config.executors.max(1)
+        };
+        let executor_threads = (0..executors)
             .map(|i| {
                 let engine = Arc::clone(&engine);
                 let work_rx = work_rx.clone();
-                let write_tx = write_tx.clone();
-                let stats = Arc::clone(&stats);
                 std::thread::Builder::new()
                     .name(format!("plp-srv-exec-{i}"))
-                    .spawn(move || executor_loop(&engine, &work_rx, &write_tx, &stats))
+                    .spawn(move || executor_loop(&engine, &work_rx))
             })
             .collect::<io::Result<Vec<_>>>()?;
         let accept_thread = {
-            let work_tx = work_tx.clone();
-            let write_tx = write_tx.clone();
+            let shared = Shared {
+                engine,
+                work_tx: work_tx.clone(),
+                write_tx: write_tx.clone(),
+                stats,
+                live: Arc::clone(&live),
+            };
             let conns = Arc::clone(&conns);
             let readers = Arc::clone(&readers);
-            let stats = Arc::clone(&stats);
             let stop = Arc::clone(&stop);
             std::thread::Builder::new()
                 .name("plp-srv-accept".to_string())
-                .spawn(move || {
-                    accept_loop(listener, work_tx, write_tx, conns, readers, stats, stop)
-                })?
+                .spawn(move || accept_loop(listener, shared, conns, readers, stop))?
         };
 
         Ok(Server {
@@ -168,6 +283,7 @@ impl Server {
             stop,
             conns,
             readers,
+            live,
             accept_thread: Some(accept_thread),
             executor_threads,
             writer_thread: Some(writer_thread),
@@ -181,18 +297,20 @@ impl Server {
         self.addr
     }
 
-    /// Drain and shut down: stop accepting, close every connection, answer
-    /// every request already queued, flush every queued response, then join
-    /// all threads.  Idempotent.
+    /// Drain and shut down: stop accepting, stop reading from every
+    /// connection, answer every request already decoded, flush every queued
+    /// response, then join all threads.  Idempotent.
     pub fn stop(&mut self) {
         self.stop.store(true, Ordering::SeqCst);
         if let Some(t) = self.accept_thread.take() {
             let _ = t.join();
         }
-        // Unblock the readers: shutting the sockets down makes their
-        // blocking reads return, and each reader closes out its connection.
+        // Unblock the readers: shutting the read side down makes their
+        // blocking reads return, and each reader stops taking requests.  The
+        // write side stays open so the decoded requests can still be
+        // answered.
         for (_, stream) in self.conns.lock().unwrap().iter() {
-            let _ = stream.shutdown(Shutdown::Both);
+            let _ = stream.shutdown(Shutdown::Read);
         }
         let handles: Vec<_> = self.readers.lock().unwrap().drain(..).collect();
         for h in handles {
@@ -206,6 +324,10 @@ impl Server {
         for h in self.executor_threads.drain(..) {
             let _ = h.join();
         }
+        // Requests on partition workers (or waiting for the log flusher)
+        // hold their connection's handle until answered; once the last is
+        // gone, every response and every close is in the writer's queue.
+        self.live.wait_for_zero();
         // Same for the writer: every queued response precedes the sentinel.
         let _ = self.write_tx.send(WriterMsg::Stop);
         if let Some(t) = self.writer_thread.take() {
@@ -220,13 +342,21 @@ impl Drop for Server {
     }
 }
 
-fn accept_loop(
-    listener: TcpListener,
+/// What every reader shares: the engine and the queues it answers through.
+#[derive(Clone)]
+struct Shared {
+    engine: Arc<Engine>,
     work_tx: Sender<Work>,
     write_tx: Sender<WriterMsg>,
+    stats: Arc<StatsRegistry>,
+    live: Arc<Live>,
+}
+
+fn accept_loop(
+    listener: TcpListener,
+    shared: Shared,
     conns: Arc<Mutex<HashMap<u64, TcpStream>>>,
     readers: Arc<Mutex<Vec<JoinHandle<()>>>>,
-    stats: Arc<StatsRegistry>,
     stop: Arc<AtomicBool>,
 ) {
     let mut next_conn = 1u64;
@@ -236,8 +366,7 @@ fn accept_loop(
                 let conn = next_conn;
                 next_conn += 1;
                 // Per-connection setup failures just drop that connection.
-                let _ =
-                    spawn_connection(conn, stream, &work_tx, &write_tx, &conns, &readers, &stats);
+                let _ = spawn_connection(conn, stream, &shared, &conns, &readers);
             }
             Err(e) if e.kind() == io::ErrorKind::WouldBlock => {
                 std::thread::sleep(ACCEPT_POLL);
@@ -250,46 +379,45 @@ fn accept_loop(
 fn spawn_connection(
     conn: u64,
     stream: TcpStream,
-    work_tx: &Sender<Work>,
-    write_tx: &Sender<WriterMsg>,
+    shared: &Shared,
     conns: &Arc<Mutex<HashMap<u64, TcpStream>>>,
     readers: &Arc<Mutex<Vec<JoinHandle<()>>>>,
-    stats: &Arc<StatsRegistry>,
 ) -> io::Result<()> {
     stream.set_nonblocking(false)?;
     stream.set_nodelay(true)?;
     stream.set_write_timeout(Some(WRITE_TIMEOUT))?;
     let writer_half = stream.try_clone()?;
     let shutdown_handle = stream.try_clone()?;
-    stats.server().connection_accepted();
+    shared.stats.server().connection_accepted();
     conns.lock().unwrap().insert(conn, shutdown_handle);
     // Register before the reader runs so the writer knows the connection by
     // the time the first response is enqueued.
-    let _ = write_tx.send(WriterMsg::Register(conn, writer_half));
+    let _ = shared.write_tx.send(WriterMsg::Register(conn, writer_half));
+    let handle = Arc::new(ConnHandle::new(
+        conn,
+        shared.write_tx.clone(),
+        Arc::clone(&shared.stats),
+        Arc::clone(&shared.live),
+    ));
     let handle = {
-        let work_tx = work_tx.clone();
-        let write_tx = write_tx.clone();
+        let shared = shared.clone();
         let conns = Arc::clone(conns);
-        let stats = Arc::clone(stats);
         std::thread::Builder::new()
             .name(format!("plp-srv-conn-{conn}"))
             .spawn(move || {
-                reader_loop(conn, stream, &work_tx, &write_tx, &stats);
+                reader_loop(&handle, stream, &shared);
                 conns.lock().unwrap().remove(&conn);
-                let _ = write_tx.send(WriterMsg::Close(conn));
+                // Dropping the reader's `handle` here (and the last
+                // in-flight request's later) closes the connection.
             })?
     };
     readers.lock().unwrap().push(handle);
     Ok(())
 }
 
-fn reader_loop(
-    conn: u64,
-    stream: TcpStream,
-    work_tx: &Sender<Work>,
-    write_tx: &Sender<WriterMsg>,
-    stats: &StatsRegistry,
-) {
+fn reader_loop(conn: &Arc<ConnHandle>, stream: TcpStream, shared: &Shared) {
+    let stats = &shared.stats;
+    let pm = shared.engine.partition_manager();
     let mut reader = BufReader::new(stream);
     loop {
         match read_frame(&mut reader) {
@@ -297,13 +425,42 @@ fn reader_loop(
                 stats
                     .server()
                     .frame_decoded(48 + frame.payload.len() as u64);
-                let work = Work::Request {
-                    conn,
-                    frame,
-                    decoded_at: now_nanos(),
+                let decoded_at = now_nanos();
+                let request_id = frame.request_id;
+                if OpCode::from_u8(frame.opcode) == Some(OpCode::Hello) {
+                    conn.answer(&Frame::hello_ack(request_id), decoded_at);
+                    continue;
+                }
+                let op = match frame.to_op() {
+                    Ok(op) => op,
+                    Err(defect) => {
+                        let reply = Frame::response_err(request_id, ErrorCode::BadRequest, &defect);
+                        conn.answer(&reply, decoded_at);
+                        continue;
+                    }
                 };
-                if work_tx.send(work).is_err() {
-                    break;
+                match pm {
+                    Some(pm) => {
+                        let conn = Arc::clone(conn);
+                        pm.submit(
+                            op,
+                            decoded_at,
+                            Box::new(move |response| {
+                                conn.respond(request_id, decoded_at, &response)
+                            }),
+                        );
+                    }
+                    None => {
+                        let work = Work::Request {
+                            conn: Arc::clone(conn),
+                            request_id,
+                            op,
+                            decoded_at,
+                        };
+                        if shared.work_tx.send(work).is_err() {
+                            break;
+                        }
+                    }
                 }
             }
             Ok(ReadOutcome::Rejected {
@@ -315,64 +472,32 @@ fn reader_loop(
                 // id when there was one) and keep reading — the length
                 // prefix already resynchronized the stream.
                 stats.server().decode_error(consumed);
-                let reply = Frame::response_err(
+                conn.send(&Frame::response_err(
                     request_id.unwrap_or(0),
                     ErrorCode::BadRequest,
                     &format!("undecodable frame: {reason}"),
-                );
-                if write_tx
-                    .send(WriterMsg::Frame(conn, reply.encode()))
-                    .is_err()
-                {
-                    break;
-                }
+                ));
             }
             Ok(ReadOutcome::Closed) | Err(_) => break,
         }
     }
 }
 
-fn executor_loop(
-    engine: &Arc<Engine>,
-    work_rx: &Receiver<Work>,
-    write_tx: &Sender<WriterMsg>,
-    stats: &StatsRegistry,
-) {
+/// The conventional engines' coordinator path: one [`Session`] per
+/// executor thread.
+///
+/// [`Session`]: plp_core::engine::Session
+fn executor_loop(engine: &Arc<Engine>, work_rx: &Receiver<Work>) {
     let mut session = engine.session();
-    while let Ok(work) = work_rx.recv() {
-        let (conn, frame, decoded_at) = match work {
-            Work::Stop => break,
-            Work::Request {
-                conn,
-                frame,
-                decoded_at,
-            } => (conn, frame, decoded_at),
-        };
-        let request_id = frame.request_id;
-        let reply = match OpCode::from_u8(frame.opcode) {
-            Some(OpCode::Hello) => Frame::hello_ack(request_id),
-            _ => match frame.to_op() {
-                Ok(op) => match session.run(Request::single(op)) {
-                    Response::Ok(outputs) => Frame::response_ok(request_id, &outputs),
-                    Response::Err { code, message } => {
-                        Frame::response_err(request_id, code, &message)
-                    }
-                },
-                Err(defect) => Frame::response_err(request_id, ErrorCode::BadRequest, &defect),
-            },
-        };
-        if obs_enabled() {
-            stats
-                .latency()
-                .server_request
-                .record(now_nanos().saturating_sub(decoded_at));
-        }
-        if write_tx
-            .send(WriterMsg::Frame(conn, reply.encode()))
-            .is_err()
-        {
-            break;
-        }
+    while let Ok(Work::Request {
+        conn,
+        request_id,
+        op,
+        decoded_at,
+    }) = work_rx.recv()
+    {
+        let response = session.run(Request::single(op));
+        conn.respond(request_id, decoded_at, &response);
     }
 }
 

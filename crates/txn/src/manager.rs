@@ -80,6 +80,22 @@ impl TxnManager {
         locks: Option<&LockManager>,
         breakdown: Option<&TimeBreakdown>,
     ) {
+        let lsn = self.insert_commit(txn);
+        self.log.wait_durable(lsn, breakdown);
+        self.finish_commit(txn, locks);
+    }
+
+    /// Commit without waiting for durability: write the commit record, flip
+    /// the state and return the commit LSN.  The caller must not acknowledge
+    /// the commit until [`LogManager::release_when_durable`] releases that
+    /// LSN.  For partitioned designs only (no central locks to release).
+    pub fn commit_deferred(&self, txn: &mut Transaction) -> plp_wal::Lsn {
+        let lsn = self.insert_commit(txn);
+        self.finish_commit(txn, None);
+        lsn
+    }
+
+    fn insert_commit(&self, txn: &mut Transaction) -> plp_wal::Lsn {
         assert!(txn.is_active(), "commit of a finished transaction");
         // One critical section per attached action to serialise the state
         // transition against action-completion notifications (fixed
@@ -87,14 +103,10 @@ impl TxnManager {
         self.stats
             .cs()
             .enter_n(CsCategory::XctMgr, txn.action_count() as u64, false);
-        match breakdown {
-            Some(bd) => {
-                self.log.commit_with_breakdown(txn.log_handle_mut(), bd);
-            }
-            None => {
-                self.log.commit(txn.log_handle_mut());
-            }
-        }
+        self.log.insert_commit(txn.log_handle_mut())
+    }
+
+    fn finish_commit(&self, txn: &mut Transaction, locks: Option<&LockManager>) {
         let held = txn.take_locks();
         if let Some(lm) = locks {
             if !held.is_empty() {

@@ -62,36 +62,38 @@ impl LogBuffer {
     }
 
     /// Append a single record (baseline protocol).  Returns its assigned LSN
-    /// and the nanoseconds spent waiting for the buffer mutex.
-    pub fn append_one(&self, mut record: LogRecord) -> (Lsn, u64) {
-        let (mut g, waited) = self.inner.lock();
+    /// and the number of records now pending flush.
+    pub fn append_one(&self, mut record: LogRecord) -> (Lsn, usize) {
+        let (mut g, _waited) = self.inner.lock();
         record.lsn = g.tail_lsn;
         let lsn = record.lsn;
         g.tail_lsn = g.tail_lsn.advance(record.size_bytes());
         g.total_records += 1;
         g.total_bytes += record.size_bytes();
         g.pending.push_back(record);
-        (lsn, waited)
+        (lsn, g.pending.len())
     }
 
-    /// Append a batch of records in one critical section (consolidated
-    /// protocol).  Returns the LSN of the *last* record in the batch and the
-    /// wait time for the mutex.
-    pub fn append_batch(&self, records: &mut [LogRecord]) -> (Lsn, u64) {
+    /// Move a batch of records into the buffer in one critical section
+    /// (consolidated protocol), leaving `records` empty with its capacity
+    /// kept.  The records are moved, not cloned, so the critical section
+    /// never copies a payload.  Returns the LSN of the *last* record in the
+    /// batch and the number of records now pending flush.
+    pub fn append_batch(&self, records: &mut Vec<LogRecord>) -> (Lsn, usize) {
         if records.is_empty() {
             return (Lsn::ZERO, 0);
         }
-        let (mut g, waited) = self.inner.lock();
+        let (mut g, _waited) = self.inner.lock();
         let mut last = Lsn::ZERO;
-        for r in records.iter_mut() {
+        for mut r in records.drain(..) {
             r.lsn = g.tail_lsn;
+            last = r.lsn;
             g.tail_lsn = g.tail_lsn.advance(r.size_bytes());
             g.total_records += 1;
             g.total_bytes += r.size_bytes();
-            g.pending.push_back(r.clone());
-            last = r.lsn;
+            g.pending.push_back(r);
         }
-        (last, waited)
+        (last, g.pending.len())
     }
 
     /// Drain everything pending (called by the group-commit flusher).
@@ -158,17 +160,30 @@ mod tests {
             LogRecord::new(2, LogRecordKind::Update, 2, 10),
             LogRecord::new(2, LogRecordKind::Commit, 0, 0),
         ];
-        let (last, _) = b.append_batch(&mut batch);
-        assert_eq!(last, batch[2].lsn);
-        assert!(batch[0].lsn < batch[1].lsn && batch[1].lsn < batch[2].lsn);
+        let (last, pending) = b.append_batch(&mut batch);
+        // The records moved into the buffer; the staging Vec is left empty.
+        assert!(batch.is_empty());
+        assert_eq!(pending, 3);
         assert_eq!(b.pending_records(), 3);
+        let (_, drained) = b.drain();
+        assert_eq!(last, drained[2].lsn);
+        assert!(drained[0].lsn < drained[1].lsn && drained[1].lsn < drained[2].lsn);
+        // Contiguous: each record starts where the previous one ended.
+        assert_eq!(
+            drained[1].lsn,
+            drained[0].lsn.advance(drained[0].size_bytes())
+        );
+        assert_eq!(
+            drained[2].lsn,
+            drained[1].lsn.advance(drained[1].size_bytes())
+        );
     }
 
     #[test]
     fn empty_batch_is_noop_cs_free() {
         let (s, b) = buffer();
         let before = s.snapshot().cs.entries(CsCategory::LogMgr);
-        let (lsn, _) = b.append_batch(&mut []);
+        let (lsn, _) = b.append_batch(&mut Vec::new());
         assert_eq!(lsn, Lsn::ZERO);
         assert_eq!(s.snapshot().cs.entries(CsCategory::LogMgr), before);
     }

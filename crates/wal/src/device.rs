@@ -109,6 +109,8 @@ struct DeviceState {
     /// LSN the next appended record must carry.
     next_lsn: Lsn,
     scratch: Vec<u8>,
+    /// Test hook: fail the next [`LogDevice::append_batch`].
+    fail_next_write: bool,
 }
 
 /// A segmented, append-only, fsync-capable log device.
@@ -196,6 +198,7 @@ impl LogDevice {
                     current,
                     next_lsn: tail,
                     scratch: Vec::new(),
+                    fail_next_write: false,
                 }),
                 stats,
             },
@@ -224,6 +227,9 @@ impl LogDevice {
             return Ok(());
         }
         let mut state = self.state.lock();
+        if std::mem::take(&mut state.fail_next_write) {
+            return Err(io::Error::other("injected log device write failure"));
+        }
         let mut bytes = 0u64;
         for record in records {
             assert_eq!(
@@ -250,6 +256,13 @@ impl LogDevice {
         }
         self.stats.wal().flushed(records.len() as u64, bytes);
         Ok(())
+    }
+
+    /// Test hook: make the next non-empty [`Self::append_batch`] fail with
+    /// an I/O error before writing anything.  One-shot.
+    #[doc(hidden)]
+    pub fn inject_write_failure(&self) {
+        self.state.lock().fail_next_write = true;
     }
 
     /// Close the current segment (fsyncing it) and start a new one whose

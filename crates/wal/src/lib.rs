@@ -78,7 +78,7 @@ pub mod segment;
 
 pub use buffer::{InsertProtocol, LogBuffer};
 pub use device::LogDevice;
-pub use manager::{DurabilityMode, LogManager, TxnLogHandle};
+pub use manager::{forbid_durable_wait, Durability, DurabilityMode, LogManager, TxnLogHandle};
 pub use record::{
     CheckpointData, LogRecord, LogRecordKind, Lsn, RepartitionPayload, UpdatePayload,
 };

@@ -2,6 +2,7 @@
 //! group-commit flusher and (when a log directory is configured) the
 //! file-backed durability pipeline.
 
+use std::cell::Cell;
 use std::io;
 use std::path::Path;
 use std::sync::atomic::{AtomicBool, AtomicU64, Ordering};
@@ -88,13 +89,72 @@ impl TxnLogHandle {
     }
 }
 
-#[derive(Debug, Clone, Copy, Default)]
+/// Records a device-less log keeps pending before the committing thread
+/// drains them itself.  Without a device a drain only drops the records
+/// (their LSNs and the append totals are already assigned), and `Lazy`
+/// starts no flusher, so without this cap the buffer would keep every record
+/// ever logged.
+pub const SELF_DRAIN_RECORDS: usize = 4096;
+
+thread_local! {
+    /// Set on threads that must never block on the log (see
+    /// [`forbid_durable_wait`]).
+    static NEVER_WAITS: Cell<bool> = const { Cell::new(false) };
+}
+
+/// Declare that the calling thread must never block in
+/// [`LogManager::wait_durable`]: partition workers hand their commits to
+/// [`LogManager::release_when_durable`] instead, so a slow fsync never
+/// stalls a partition.  Debug builds assert the promise.
+pub fn forbid_durable_wait() {
+    NEVER_WAITS.with(|c| c.set(true));
+}
+
+/// Outcome handed to a [`LogManager::release_when_durable`] callback: `Ok`
+/// once the commit record is durable per the mode, `Err(reason)` when the
+/// log device failed first.
+pub type Durability = Result<(), String>;
+
+/// A commit waiting for the flusher (see [`LogManager::release_when_durable`]).
+struct PendingRelease {
+    lsn: Lsn,
+    since: Instant,
+    release: Box<dyn FnOnce(Durability) + Send>,
+}
+
+#[derive(Default)]
 struct DurableState {
     /// Highest LSN drained from the buffer (and written to the device when
     /// one is attached).
     written: Lsn,
     /// Highest LSN known fsynced to stable storage.
     synced: Lsn,
+    /// Commits whose answer waits for `written`/`synced` to reach their LSN.
+    pending: Vec<PendingRelease>,
+    /// Set once a device write or fsync failed: no later release may run Ok.
+    failed: Option<String>,
+}
+
+impl DurableState {
+    fn reached(&self, mode: DurabilityMode, lsn: Lsn) -> bool {
+        match mode {
+            DurabilityMode::Lazy => true,
+            DurabilityMode::Synchronous => self.written >= lsn,
+            DurabilityMode::Strict => self.synced >= lsn,
+        }
+    }
+
+    /// Remove and return the pending releases whose LSN is now durable.
+    fn take_ready(&mut self, mode: DurabilityMode) -> Vec<PendingRelease> {
+        if self.pending.is_empty() {
+            return Vec::new();
+        }
+        let (ready, waiting) = std::mem::take(&mut self.pending)
+            .into_iter()
+            .partition(|p| self.reached(mode, p.lsn));
+        self.pending = waiting;
+        ready
+    }
 }
 
 struct FlusherState {
@@ -219,9 +279,10 @@ impl LogManager {
         record.txn_id = handle.txn_id;
         match self.protocol {
             InsertProtocol::Baseline => {
-                let (lsn, _waited) = self.buffer.append_one(record);
+                let (lsn, pending) = self.buffer.append_one(record);
                 handle.last_lsn = lsn;
                 handle.records_logged += 1;
+                self.drain_if_over_cap(pending);
             }
             InsertProtocol::Consolidated => handle.push_record(record),
         }
@@ -231,7 +292,8 @@ impl LogManager {
     /// transaction.  Returns its LSN; durability follows the flusher like
     /// any other record.
     pub fn log_system(&self, record: LogRecord) -> Lsn {
-        let (lsn, _) = self.buffer.append_one(record);
+        let (lsn, pending) = self.buffer.append_one(record);
+        self.drain_if_over_cap(pending);
         lsn
     }
 
@@ -245,36 +307,44 @@ impl LogManager {
     }
 
     fn finish(&self, handle: &mut TxnLogHandle, kind: LogRecordKind) -> Lsn {
-        match self.protocol {
+        let (lsn, pending) = match self.protocol {
             InsertProtocol::Baseline => {
-                let (lsn, _) = self
-                    .buffer
-                    .append_one(LogRecord::new(handle.txn_id, kind, 0, 0));
-                handle.last_lsn = lsn;
-                lsn
+                self.buffer
+                    .append_one(LogRecord::new(handle.txn_id, kind, 0, 0))
             }
             InsertProtocol::Consolidated => {
                 handle.log(kind, 0, 0);
-                let (lsn, _) = self.buffer.append_batch(&mut handle.staged);
-                handle.staged.clear();
-                handle.last_lsn = lsn;
-                lsn
+                self.buffer.append_batch(&mut handle.staged)
             }
+        };
+        handle.last_lsn = lsn;
+        self.drain_if_over_cap(pending);
+        lsn
+    }
+
+    /// Bound the device-less buffer: once more than [`SELF_DRAIN_RECORDS`]
+    /// are pending, the appending thread drains them itself.  `pending` comes
+    /// out of the append's own critical section, so the common case costs no
+    /// extra lock.  With a device the flusher owns every drain (a committing
+    /// worker must never write or fsync).
+    fn drain_if_over_cap(&self, pending: usize) {
+        if pending > SELF_DRAIN_RECORDS && self.device.is_none() {
+            self.flush_batch(false);
         }
     }
 
     /// Write the commit record (and wait per the durability mode).
     pub fn commit(&self, handle: &mut TxnLogHandle) -> Lsn {
-        let lsn = self.finish(handle, LogRecordKind::Commit);
+        let lsn = self.insert_commit(handle);
         self.wait_durable(lsn, None);
         lsn
     }
 
-    /// Commit and attribute any flush wait to a time-breakdown bucket.
-    pub fn commit_with_breakdown(&self, handle: &mut TxnLogHandle, bd: &TimeBreakdown) -> Lsn {
-        let lsn = self.finish(handle, LogRecordKind::Commit);
-        self.wait_durable(lsn, Some(bd));
-        lsn
+    /// Insert the commit record and return its LSN without waiting for
+    /// durability.  The caller either blocks in [`Self::wait_durable`] or
+    /// hands the answer to [`Self::release_when_durable`].
+    pub fn insert_commit(&self, handle: &mut TxnLogHandle) -> Lsn {
+        self.finish(handle, LogRecordKind::Commit)
     }
 
     /// Write the abort record.  Aborts never wait for durability.
@@ -282,16 +352,57 @@ impl LogManager {
         self.finish(handle, LogRecordKind::Abort)
     }
 
-    fn wait_durable(&self, lsn: Lsn, bd: Option<&TimeBreakdown>) {
+    /// Run `release` once the record at `lsn` is durable per the mode,
+    /// without blocking the caller: inline under `Lazy` (and when the
+    /// flusher is already past `lsn`), otherwise on the flusher thread once
+    /// `written` (`Synchronous`) or `synced` (`Strict`) reaches `lsn`.  If
+    /// the log device fails first, `release` gets `Err(reason)` — a pending
+    /// release never answers `Ok` after a failure.
+    pub fn release_when_durable(
+        &self,
+        lsn: Lsn,
+        release: impl FnOnce(Durability) + Send + 'static,
+    ) {
+        if self.durability == DurabilityMode::Lazy {
+            return release(Ok(()));
+        }
+        // The commit-side half of the group-commit handshake, as in
+        // `wait_durable`: one log-manager critical section per commit.
+        self.stats.cs().enter(CsCategory::LogMgr, false);
+        let mut durable = self.flusher.durable.lock();
+        if let Some(reason) = &durable.failed {
+            let reason = reason.clone();
+            drop(durable);
+            return release(Err(reason));
+        }
+        if durable.reached(self.durability, lsn) {
+            drop(durable);
+            return release(Ok(()));
+        }
+        durable.pending.push(PendingRelease {
+            lsn,
+            since: Instant::now(),
+            release: Box::new(release),
+        });
+        self.flusher.wakeup.notify_one();
+        drop(durable);
+        // Self-service group commit, as in `wait_durable`.
+        if self.flusher_thread.lock().is_none() {
+            self.flush_batch(self.durability == DurabilityMode::Strict);
+        }
+    }
+
+    /// Block until the record at `lsn` is durable per the mode, attributing
+    /// the wait to `bd`'s log-wait bucket when given.
+    pub fn wait_durable(&self, lsn: Lsn, bd: Option<&TimeBreakdown>) {
         if self.durability == DurabilityMode::Lazy {
             return;
         }
+        debug_assert!(
+            !NEVER_WAITS.with(Cell::get),
+            "a thread that must not block on the log waited for durability"
+        );
         let start = std::time::Instant::now();
-        let reached = |s: &DurableState| match self.durability {
-            DurabilityMode::Lazy => true,
-            DurabilityMode::Synchronous => s.written >= lsn,
-            DurabilityMode::Strict => s.synced >= lsn,
-        };
         // Waking the flusher and waiting on the flushed condition is the
         // commit-side half of the group-commit handshake: one log-manager
         // critical section regardless of how many records the txn wrote.
@@ -304,7 +415,9 @@ impl LogManager {
         }
         let mut durable = self.flusher.durable.lock();
         self.flusher.wakeup.notify_one();
-        while !reached(&durable) && !self.flusher.shutdown.load(Ordering::Acquire) {
+        while !durable.reached(self.durability, lsn)
+            && !self.flusher.shutdown.load(Ordering::Acquire)
+        {
             self.flusher
                 .flushed
                 .wait_for(&mut durable, Duration::from_millis(5));
@@ -326,6 +439,11 @@ impl LogManager {
     /// `force_sync` additionally fsyncs regardless of mode.
     fn flush_batch(&self, force_sync: bool) -> (Lsn, usize) {
         let _round = self.flush_lock.lock();
+        // After a device failure the log has a hole where the failed batch
+        // should be: nothing after it may reach the device.
+        if self.flusher.durable.lock().failed.is_some() {
+            return (Lsn::ZERO, 0);
+        }
         let flush_start = Instant::now();
         let (tail, records) = self.buffer.drain();
         let flushed = records.len();
@@ -350,6 +468,7 @@ impl LogManager {
                     }
                     durable.synced = durable.written;
                 }
+                self.run_releases(durable.take_ready(self.durability), durable);
             }
             None => {
                 if !records.is_empty() {
@@ -366,6 +485,7 @@ impl LogManager {
                 if tail > durable.synced {
                     durable.synced = tail;
                 }
+                self.run_releases(durable.take_ready(self.durability), durable);
             }
         }
         self.flusher.flushed.notify_all();
@@ -381,15 +501,52 @@ impl LogManager {
         (tail, flushed)
     }
 
+    /// Answer `ready` releases with `Ok` once the durable-state lock is
+    /// released (a release may do arbitrary work, such as encoding and
+    /// queueing a network response).  Each one's wait since registration is
+    /// its `phase_wal_flush`, like a blocking commit's.
+    fn run_releases(
+        &self,
+        ready: Vec<PendingRelease>,
+        durable: parking_lot::MutexGuard<'_, DurableState>,
+    ) {
+        drop(durable);
+        for p in ready {
+            self.stats
+                .latency()
+                .phase_wal_flush
+                .record_duration(p.since.elapsed());
+            (p.release)(Ok(()));
+        }
+    }
+
     /// A log-device I/O failure is fatal for durability: mark the manager
-    /// shut down and wake every commit waiting in [`Self::wait_durable`]
-    /// (they would otherwise spin forever re-notifying a dead flusher),
-    /// then panic with the device error.
+    /// shut down, answer every pending release with the error (and make
+    /// later ones fail at once), wake every commit waiting in
+    /// [`Self::wait_durable`] (they would otherwise spin forever
+    /// re-notifying a dead flusher), then panic with the device error.
     fn fail_flusher(&self, reason: &str) -> ! {
         self.flusher.shutdown.store(true, Ordering::Release);
+        let pending = {
+            let mut durable = self.flusher.durable.lock();
+            durable.failed = Some(reason.to_string());
+            std::mem::take(&mut durable.pending)
+        };
+        for p in pending {
+            (p.release)(Err(reason.to_string()));
+        }
         self.flusher.flushed.notify_all();
         self.flusher.wakeup.notify_all();
         panic!("{reason}");
+    }
+
+    /// Test hook: make the log device's next write fail (see
+    /// [`LogDevice::inject_write_failure`]).  No-op without a device.
+    #[doc(hidden)]
+    pub fn inject_device_write_failure(&self) {
+        if let Some(device) = &self.device {
+            device.inject_write_failure();
+        }
     }
 
     /// Start the background group-commit flusher.  Idempotent.
@@ -403,12 +560,18 @@ impl LogManager {
         let handle = std::thread::Builder::new()
             .name("plp-log-flusher".into())
             .spawn(move || {
+                plp_instrument::tag_thread_engine(&mgr.stats);
                 // One chrome://tracing row for the group-commit flusher.
                 let ring = mgr.stats.trace().register("wal-flusher");
                 while !state.shutdown.load(Ordering::Acquire) {
                     {
+                        // A release registered since the last drain is
+                        // served at once: its wakeup may have fired while
+                        // this thread was busy flushing.
                         let mut durable = state.durable.lock();
-                        state.wakeup.wait_for(&mut durable, interval);
+                        if durable.pending.is_empty() {
+                            state.wakeup.wait_for(&mut durable, interval);
+                        }
                     }
                     let t0 = now_nanos();
                     let (_, flushed) = mgr.flush_batch(false);
@@ -435,6 +598,15 @@ impl LogManager {
         self.flusher.flushed.notify_all();
         if let Some(h) = self.flusher_thread.lock().take() {
             join_unless_self(h);
+        }
+        // A release registered while the flusher was making its final drain
+        // would otherwise wait for a flusher that no longer runs.
+        let leftovers = {
+            let durable = self.flusher.durable.lock();
+            durable.failed.is_none() && !durable.pending.is_empty()
+        };
+        if leftovers {
+            self.flush_batch(true);
         }
         // Allow restart after a stop (used by tests).
         self.flusher.shutdown.store(false, Ordering::Release);
@@ -730,5 +902,126 @@ mod tests {
         assert_eq!(scan.redo_records().count(), 100);
         assert!(scan.losers.is_empty());
         std::fs::remove_dir_all(&dir).unwrap();
+    }
+
+    #[test]
+    fn lazy_device_less_buffer_stays_bounded() {
+        let m = mgr(InsertProtocol::Consolidated, DurabilityMode::Lazy);
+        let stride = LogRecord::new(0, LogRecordKind::Update, 0, 24).size_bytes()
+            + LogRecord::new(0, LogRecordKind::Commit, 0, 0).size_bytes();
+        let mut last = Lsn::ZERO;
+        for t in 0..100_000u64 {
+            let mut h = m.begin(t);
+            m.log(&mut h, LogRecordKind::Update, t, 24);
+            let lsn = m.commit(&mut h);
+            // Self-draining never perturbs LSN assignment: every commit
+            // record sits exactly one transaction's volume after the last.
+            if t > 0 {
+                assert_eq!(lsn, last.advance(stride), "txn {t}");
+            }
+            last = lsn;
+            assert!(m.pending_records() <= SELF_DRAIN_RECORDS);
+        }
+        assert_eq!(m.record_count(), 200_000);
+        assert_eq!(m.byte_count(), 100_000 * stride);
+        assert!(m.pending_records() <= SELF_DRAIN_RECORDS);
+    }
+
+    /// Register a release for one committed transaction; the release
+    /// reports what it saw when it ran.
+    fn commit_and_release(
+        m: &Arc<LogManager>,
+        txn: u64,
+    ) -> (Lsn, std::sync::mpsc::Receiver<(Durability, Lsn, Lsn)>) {
+        let mut h = m.begin(txn);
+        m.log_record(
+            &mut h,
+            LogRecord::with_payload(txn, LogRecordKind::Insert, 0, txn, None, vec![7; 16]),
+        );
+        let lsn = m.insert_commit(&mut h);
+        let (tx, rx) = std::sync::mpsc::channel();
+        let seen = Arc::clone(m);
+        m.release_when_durable(lsn, move |r| {
+            let _ = tx.send((r, seen.durable_lsn(), seen.synced_lsn()));
+        });
+        (lsn, rx)
+    }
+
+    #[test]
+    fn release_runs_inline_under_lazy() {
+        let m = mgr(InsertProtocol::Consolidated, DurabilityMode::Lazy);
+        let (_, rx) = commit_and_release(&m, 1);
+        // Already answered when `release_when_durable` returned.
+        let (r, _, _) = rx.try_recv().expect("lazy release runs inline");
+        assert_eq!(r, Ok(()));
+    }
+
+    #[test]
+    fn release_waits_for_written_under_synchronous() {
+        let m = mgr(InsertProtocol::Consolidated, DurabilityMode::Synchronous);
+        m.start_flusher(Duration::from_millis(2));
+        for txn in 1..=50 {
+            let (lsn, rx) = commit_and_release(&m, txn);
+            let (r, written, _) = rx.recv_timeout(Duration::from_secs(10)).unwrap();
+            assert_eq!(r, Ok(()));
+            assert!(written >= lsn, "released at written {written} < {lsn}");
+        }
+        m.stop_flusher();
+    }
+
+    #[test]
+    fn release_waits_for_synced_under_strict() {
+        let dir = temp_dir("release-strict");
+        let stats = StatsRegistry::new_shared();
+        let m = Arc::new(
+            LogManager::with_directory(
+                InsertProtocol::Consolidated,
+                DurabilityMode::Strict,
+                stats.clone(),
+                &dir,
+                1 << 20,
+            )
+            .unwrap(),
+        );
+        m.start_flusher(Duration::from_millis(2));
+        let pending: Vec<_> = (1..=50).map(|txn| commit_and_release(&m, txn)).collect();
+        for (lsn, rx) in pending {
+            let (r, _, synced) = rx.recv_timeout(Duration::from_secs(10)).unwrap();
+            assert_eq!(r, Ok(()));
+            assert!(synced >= lsn, "released at synced {synced} < {lsn}");
+        }
+        assert_eq!(stats.latency().phase_wal_flush.snapshot().count, 50);
+        m.stop_flusher();
+        drop(m);
+        std::fs::remove_dir_all(&dir).unwrap();
+    }
+
+    #[test]
+    fn device_failure_never_releases_ok() {
+        let dir = temp_dir("release-fail");
+        let m = Arc::new(
+            LogManager::with_directory(
+                InsertProtocol::Consolidated,
+                DurabilityMode::Strict,
+                StatsRegistry::new_shared(),
+                &dir,
+                1 << 20,
+            )
+            .unwrap(),
+        );
+        // A long interval: the flusher only runs when a release wakes it.
+        m.start_flusher(Duration::from_secs(3600));
+        m.inject_device_write_failure();
+        let first: Vec<_> = (1..=4).map(|txn| commit_and_release(&m, txn)).collect();
+        for (_, rx) in first {
+            let (r, _, _) = rx.recv_timeout(Duration::from_secs(10)).unwrap();
+            assert!(r.unwrap_err().contains("injected"), "pending release");
+        }
+        // The flusher is dead; later releases fail at once.
+        let (_, rx) = commit_and_release(&m, 5);
+        let (r, _, _) = rx.try_recv().expect("answered inline after failure");
+        assert!(r.is_err());
+        drop(m);
+        let _ = std::fs::remove_dir_all(&dir);
     }
 }
